@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-scan bench-spill bench-plan bench-serve bench-parallel bench-wlm chaos chaos-resize spill workload
+.PHONY: build test race stress bench bench-scan bench-spill bench-plan bench-serve bench-parallel bench-wlm chaos chaos-resize spill workload
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,17 @@ race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/cluster ./internal/core ./internal/exec ./internal/storage ./internal/telemetry ./internal/wire
 	SPILL_SEED=$(SPILL_SEED) $(GO) test -race -run TestParallel .
+
+# Scheduling-dependent suites at several core counts: WLM admission, the
+# result and block caches (including the mutation-interleaved cache twin),
+# the morsel twins, and the per-batch allocation bounds of the hash
+# operators and string decode. A test that only passes on one core count
+# asserts a scheduling accident, not the behaviour it names.
+STRESS = $(GO) test -cpu 1,2,4 -count=3
+stress:
+	$(STRESS) -run 'TestWLM|TestResultCache|TestBlockCache|TestMutationInterleaved|TestVacuumConcurrent' ./internal/core
+	$(STRESS) -run 'TestParallel' .
+	$(STRESS) -run 'AllocsPer|TestAggCharges|TestKeyEncoding' ./internal/exec ./internal/compress
 
 # Short randomized-fault run under the race detector: query battery with
 # injected read errors and latency spikes must match a fault-free twin, a

@@ -18,6 +18,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 
 	"redshift/internal/types"
 )
@@ -147,9 +148,11 @@ func Encode(e Encoding, v *types.Vector) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode reconstructs the vector from a self-describing block.
+// Decode reconstructs the vector from a self-describing block. A string
+// block's values are substrings of one copy of the block's payload, so
+// decoding allocates per block, not per value.
 func Decode(data []byte) (*types.Vector, error) {
-	r := bytes.NewReader(data)
+	r := newBlockReader(data)
 	encByte, err := r.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("compress: short block: %w", err)
@@ -172,6 +175,9 @@ func Decode(data []byte) (*types.Vector, error) {
 		return nil, err
 	}
 
+	if t == types.String && e != LZ {
+		r.payload = string(data)
+	}
 	v := types.NewVector(t, n)
 	switch e {
 	case Raw:
@@ -237,7 +243,20 @@ func writeNulls(buf *bytes.Buffer, v *types.Vector) {
 	buf.Write(packed)
 }
 
-func readNulls(r *bytes.Reader, n int) ([]bool, error) {
+// blockReader reads an encoded payload. For string vectors, payload is
+// the same bytes as one string, and readString slices values out of it.
+type blockReader struct {
+	bytes.Reader
+	payload string
+}
+
+func newBlockReader(b []byte) *blockReader {
+	r := new(blockReader)
+	r.Reset(b)
+	return r
+}
+
+func readNulls(r *blockReader, n int) ([]bool, error) {
 	flag, err := r.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("compress: corrupt null header: %w", err)
@@ -282,7 +301,7 @@ func encodeRaw(buf *bytes.Buffer, v *types.Vector) error {
 	return nil
 }
 
-func decodeRaw(r *bytes.Reader, v *types.Vector, n int) error {
+func decodeRaw(r *blockReader, v *types.Vector, n int) error {
 	switch v.T {
 	case types.Float64:
 		var tmp [8]byte
@@ -312,7 +331,7 @@ func decodeRaw(r *bytes.Reader, v *types.Vector, n int) error {
 	return nil
 }
 
-func readString(r *bytes.Reader) (string, error) {
+func readString(r *blockReader) (string, error) {
 	l, err := binary.ReadUvarint(r)
 	if err != nil {
 		return "", fmt.Errorf("compress: string length: %w", err)
@@ -320,11 +339,11 @@ func readString(r *bytes.Reader) (string, error) {
 	if l > uint64(r.Len()) {
 		return "", fmt.Errorf("compress: corrupt string length %d", l)
 	}
-	b := make([]byte, l)
-	if _, err := io.ReadFull(r, b); err != nil {
+	off := int(r.Size()) - r.Len()
+	if _, err := r.Seek(int64(l), io.SeekCurrent); err != nil {
 		return "", fmt.Errorf("compress: string body: %w", err)
 	}
-	return string(b), nil
+	return r.payload[off : off+int(l)], nil
 }
 
 // RUNLENGTH: (value, run) pairs. Ideal for sorted low-cardinality columns.
@@ -364,7 +383,7 @@ func sameAt(v *types.Vector, i, j int) bool {
 	}
 }
 
-func decodeRunLength(r *bytes.Reader, v *types.Vector, n int) error {
+func decodeRunLength(r *blockReader, v *types.Vector, n int) error {
 	for v.Len() < n {
 		var iv int64
 		var fv float64
@@ -423,7 +442,7 @@ func encodeDelta(buf *bytes.Buffer, v *types.Vector) error {
 	return nil
 }
 
-func decodeDelta(r *bytes.Reader, v *types.Vector, n int) error {
+func decodeDelta(r *blockReader, v *types.Vector, n int) error {
 	prev := int64(0)
 	for i := 0; i < n; i++ {
 		d, err := binary.ReadVarint(r)
@@ -490,7 +509,7 @@ func encodeMostly(buf *bytes.Buffer, v *types.Vector, width int) error {
 	return nil
 }
 
-func decodeMostly(r *bytes.Reader, v *types.Vector, n, width int) error {
+func decodeMostly(r *blockReader, v *types.Vector, n, width int) error {
 	nExc, err := binary.ReadUvarint(r)
 	if err != nil {
 		return fmt.Errorf("compress: mostly exceptions: %w", err)
@@ -586,7 +605,7 @@ func sameValue(a *types.Vector, i int, b *types.Vector, j int) bool {
 	}
 }
 
-func decodeByteDict(r *bytes.Reader, v *types.Vector, n int) error {
+func decodeByteDict(r *blockReader, v *types.Vector, n int) error {
 	dn, err := binary.ReadUvarint(r)
 	if err != nil {
 		return fmt.Errorf("compress: bytedict size: %w", err)
@@ -645,7 +664,7 @@ func encodeText(buf *bytes.Buffer, v *types.Vector) error {
 	return nil
 }
 
-func decodeText(r *bytes.Reader, v *types.Vector, n int) error {
+func decodeText(r *blockReader, v *types.Vector, n int) error {
 	wn, err := binary.ReadUvarint(r)
 	if err != nil {
 		return fmt.Errorf("compress: text dict size: %w", err)
@@ -690,12 +709,30 @@ func encodeLZ(buf *bytes.Buffer, v *types.Vector) error {
 	return w.Close()
 }
 
-func decodeLZ(r *bytes.Reader, v *types.Vector, n int) error {
-	fr := flate.NewReader(r)
-	defer fr.Close()
-	raw, err := io.ReadAll(fr)
-	if err != nil {
+// lzScratch is a reusable DEFLATE reader and output buffer. A string
+// block's output is copied out once, as the payload its values slice.
+type lzScratch struct {
+	fr  io.ReadCloser
+	buf bytes.Buffer
+}
+
+var lzPool = sync.Pool{New: func() any { return new(lzScratch) }}
+
+func decodeLZ(r *blockReader, v *types.Vector, n int) error {
+	sc := lzPool.Get().(*lzScratch)
+	defer lzPool.Put(sc)
+	if sc.fr == nil {
+		sc.fr = flate.NewReader(r)
+	} else if err := sc.fr.(flate.Resetter).Reset(r, nil); err != nil {
 		return fmt.Errorf("compress: lz: %w", err)
 	}
-	return decodeRaw(bytes.NewReader(raw), v, n)
+	sc.buf.Reset()
+	if _, err := sc.buf.ReadFrom(sc.fr); err != nil {
+		return fmt.Errorf("compress: lz: %w", err)
+	}
+	raw := newBlockReader(sc.buf.Bytes())
+	if v.T == types.String {
+		raw.payload = sc.buf.String()
+	}
+	return decodeRaw(raw, v, n)
 }

@@ -128,6 +128,9 @@ func TestDecodeCorrupt(t *testing.T) {
 		{byte(numEncodings) + 5, byte(types.Int64), 3, 0},
 		{byte(RunLength), byte(types.Int64), 10, 0, 2, 200}, // run overflows count
 		{byte(Text), byte(types.String), 1, 0, 255, 255, 255, 255, 15},
+		{byte(Raw), byte(types.String), 1, 0, 200, 'a'},          // string overruns block
+		{byte(RunLength), byte(types.String), 2, 0, 3, 'a', 'b'}, // string overruns block
+		{byte(ByteDict), byte(types.String), 1, 0, 1, 9, 'a', 0}, // dict word overruns block
 	}
 	for i, data := range cases {
 		if _, err := Decode(data); err == nil {
@@ -328,5 +331,34 @@ func TestParseEncodingRoundTrip(t *testing.T) {
 	}
 	if e, err := ParseEncoding("none"); err != nil || e != Raw {
 		t.Errorf("ParseEncoding(none) = %v, %v", e, err)
+	}
+}
+
+// TestDecodeStringAllocsPerBlock: a string block decodes into substrings
+// of one payload copy, so allocations do not grow with the row count.
+func TestDecodeStringAllocsPerBlock(t *testing.T) {
+	allocs := func(e Encoding, n int) float64 {
+		vals := make([]string, n)
+		// 182 distinct values, so BYTEDICT applies. They are short so that
+		// even 4096 of them make one DEFLATE block: the LZ reader allocates
+		// Huffman tables per compressed block, which is not per value.
+		for i := range vals {
+			vals[i] = strings.Repeat(string(rune('a'+i%26)), 1+i%7)
+		}
+		data, err := Encode(e, mkStrs(vals))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Decode(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, e := range []Encoding{Raw, RunLength, ByteDict, Text, LZ} {
+		small, large := allocs(e, 64), allocs(e, 4096)
+		if small != large {
+			t.Errorf("%s: %v allocs per Decode at 64 rows, %v at 4096", e, small, large)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"redshift/internal/cluster"
 	"redshift/internal/exec"
@@ -187,5 +188,30 @@ func TestBlockCacheConcurrentQueries(t *testing.T) {
 	}
 	if s := db.BlockCache().Stats(); s.Bytes > s.Budget {
 		t.Errorf("cache over budget: %+v", s)
+	}
+}
+
+// TestCachedResultHoldsOnlyItsStrings: a decoded string is a slice of its
+// whole block, and the result cache charges a result by its strings'
+// lengths, so a stored result must hold copies. The copies are laid end to
+// end in one allocation; slices of a block never are, since a length prefix
+// or dictionary layout separates its values.
+func TestCachedResultHoldsOnlyItsStrings(t *testing.T) {
+	db := openDB(t, 0)
+	seedSales(t, db)
+	const q = `SELECT region, ts FROM sales WHERE ts < 10020 ORDER BY ts`
+	first := mustExec(t, db, q)
+	res := mustExec(t, db, q)
+	if !res.Cached || len(res.Rows) != 20 {
+		t.Fatalf("repeat: cached=%v rows=%d, want a cached 20-row result", res.Cached, len(res.Rows))
+	}
+	if fmt.Sprint(res.Rows) != fmt.Sprint(first.Rows) {
+		t.Fatalf("cached rows %v differ from %v", res.Rows, first.Rows)
+	}
+	for i := 1; i < len(res.Rows); i++ {
+		prev, cur := res.Rows[i-1][0].S, res.Rows[i][0].S
+		if unsafe.Pointer(unsafe.StringData(cur)) != unsafe.Add(unsafe.Pointer(unsafe.StringData(prev)), len(prev)) {
+			t.Fatalf("row %d: cached string %q is not a copy owned by the result", i, cur)
+		}
 	}
 }

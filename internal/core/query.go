@@ -203,6 +203,9 @@ func (db *Database) runSelectTraced(ctx context.Context, sess *Session, s *sql.S
 	for i := 0; i < final.N; i++ {
 		res.Rows = append(res.Rows, final.Row(i))
 	}
+	// Result rows outlive the statement (the caller, the result cache), so
+	// they must not hold the blocks their strings were decoded from.
+	types.DetachRows(res.Rows)
 	if cacheable {
 		db.resultStore(norm, res, verKey)
 	}

@@ -10,11 +10,16 @@ import (
 	"redshift/internal/s3sim"
 )
 
+// The concurrency tests send identical statements and count admissions, so
+// they disable the result cache: it is consulted ahead of admission, and a
+// copy that finishes first would serve the rest without admitting them.
+
 func TestWLMLimitsConcurrency(t *testing.T) {
 	db, err := Open(Config{
-		Cluster:    cluster.Config{Nodes: 1, SlicesPerNode: 2, BlockCap: 64},
-		DataStore:  s3sim.New(),
-		QuerySlots: 2,
+		Cluster:          cluster.Config{Nodes: 1, SlicesPerNode: 2, BlockCap: 64},
+		DataStore:        s3sim.New(),
+		QuerySlots:       2,
+		ResultCacheBytes: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +87,14 @@ func TestWLMQueueWaitReported(t *testing.T) {
 }
 
 func TestWLMUnlimitedByDefault(t *testing.T) {
-	db := openDB(t, exec.Compiled)
+	db, err := Open(Config{
+		Cluster:          cluster.Config{Nodes: 2, SlicesPerNode: 2, BlockCap: 64},
+		DataStore:        s3sim.New(),
+		ResultCacheBytes: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	seedSales(t, db)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -99,6 +111,24 @@ func TestWLMUnlimitedByDefault(t *testing.T) {
 	}
 	if stats.TotalWaitTime != 0 {
 		t.Errorf("unlimited WLM accumulated wait %v", stats.TotalWaitTime)
+	}
+}
+
+// TestWLMResultCacheHitSkipsAdmission: a statement served from the result
+// cache never reaches WLM admission.
+func TestWLMResultCacheHitSkipsAdmission(t *testing.T) {
+	db := openDB(t, exec.Compiled)
+	seedSales(t, db)
+	const q = `SELECT COUNT(*) FROM sales`
+	if res := mustExec(t, db, q); res.Cached {
+		t.Fatal("first execution served from the result cache")
+	}
+	before := db.WLMStats().TotalQueries
+	if res := mustExec(t, db, q); !res.Cached {
+		t.Fatal("repeat was not served from the result cache")
+	}
+	if after := db.WLMStats().TotalQueries; after != before {
+		t.Errorf("result-cache hit was admitted: total queries %d -> %d", before, after)
 	}
 }
 

@@ -163,18 +163,19 @@ type minMaxState struct {
 	seen bool
 }
 
+// Update keeps a detached copy of a new best string: the input's strings
+// are slices of their blocks, which the state must not hold.
 func (s *minMaxState) Update(v types.Value) {
 	if v.Null {
 		return
 	}
-	if !s.seen {
-		s.best, s.seen = v, true
-		return
+	if s.seen {
+		c := types.Compare(v, s.best)
+		if s.min && c >= 0 || !s.min && c <= 0 {
+			return
+		}
 	}
-	c := types.Compare(v, s.best)
-	if s.min && c < 0 || !s.min && c > 0 {
-		s.best = v
-	}
+	s.best, s.seen = v.Detached(), true
 }
 func (s *minMaxState) UpdateRow() {}
 func (s *minMaxState) Merge(o AggState) {
@@ -206,8 +207,13 @@ type distinctState struct {
 }
 
 func (s *distinctState) Update(v types.Value) {
-	if !v.Null {
-		s.seen[KeyEncoder([]types.Value{v})] = struct{}{}
+	if v.Null {
+		return
+	}
+	var a [32]byte
+	k := appendValueKey(a[:0], v)
+	if _, ok := s.seen[string(k)]; !ok {
+		s.seen[string(k)] = struct{}{}
 	}
 }
 func (s *distinctState) UpdateRow() {}
@@ -238,7 +244,8 @@ func (s *hllState) Update(v types.Value) {
 	if v.Null {
 		return
 	}
-	s.sk.AddString(KeyEncoder([]types.Value{v}))
+	var a [32]byte
+	s.sk.AddBytes(appendValueKey(a[:0], v))
 }
 func (s *hllState) UpdateRow()         {}
 func (s *hllState) Merge(o AggState)   { s.sk.Merge(o.(*hllState).sk) }
@@ -249,7 +256,8 @@ func (s *hllState) Size() int64        { return s.sk.ByteSize() }
 type group struct {
 	keys   []types.Value
 	states []AggState
-	mem    int64 // bytes currently charged to the tracker for this group
+	mem    int64  // bytes currently charged to the tracker for this group
+	batch  uint32 // the last Consume batch that touched the group; 0 = none
 }
 
 // Memory-accounting constants for hash aggregation: estimated heap cost
@@ -262,8 +270,8 @@ const (
 )
 
 // groupMemBytes estimates the resident heap bytes of one group entry.
-func groupMemBytes(k string, grp *group) int64 {
-	n := int64(groupOverhead) + int64(len(k))
+func groupMemBytes(grp *group) int64 {
+	n := int64(groupOverhead) + int64(keyLen(grp.keys))
 	for _, v := range grp.keys {
 		n += valueOverhead + valueSize(v)
 	}
@@ -287,6 +295,45 @@ type GroupTable struct {
 	charged int64
 	spill   *aggSpill
 	depth   int // recursion depth when replaying a spilled partition
+
+	key     []byte        // reused key-encoding buffer
+	row     []types.Value // reused key values of a group being inserted
+	batch   uint32        // Consume calls so far; stamps touched groups
+	touched []*group      // groups the current batch updated
+	slab    groupSlab
+}
+
+// groupSlab hands out group structs, key values and state slots from
+// chunks, so a new group costs no allocation of its own. Chunks double from
+// slabMinChunk up to slabMaxChunk groups: a table with a handful of groups
+// reserves little, a big one allocates once per thousand groups.
+type groupSlab struct {
+	groups []group
+	vals   []types.Value
+	states []AggState
+	chunk  int
+}
+
+const (
+	slabMinChunk = 8
+	slabMaxChunk = 1024
+)
+
+func (s *groupSlab) alloc(nkeys, nstates int) *group {
+	if len(s.groups) == cap(s.groups) {
+		s.chunk = min(max(2*s.chunk, slabMinChunk), slabMaxChunk)
+		s.groups = make([]group, 0, s.chunk)
+		s.vals = make([]types.Value, 0, s.chunk*nkeys)
+		s.states = make([]AggState, 0, s.chunk*nstates)
+	}
+	s.groups = s.groups[:len(s.groups)+1]
+	grp := &s.groups[len(s.groups)-1]
+	nv, ns := len(s.vals), len(s.states)
+	s.vals = s.vals[:nv+nkeys]
+	s.states = s.states[:ns+nstates]
+	grp.keys = s.vals[nv : nv+nkeys : nv+nkeys]
+	grp.states = s.states[ns : ns+nstates : ns+nstates]
+	return grp
 }
 
 // aggSpill holds the partition files of a spilled aggregation. Once the
@@ -349,37 +396,20 @@ func (g *GroupTable) Consume(b *Batch) error {
 	if b.N == 0 {
 		return nil
 	}
-	keyVecs := make([]*types.Vector, len(g.groupEvs))
-	for i, ev := range g.groupEvs {
-		v, err := ev.Eval(b)
-		if err != nil {
-			return err
-		}
-		keyVecs[i] = v
+	keyVecs, err := evalAll(g.groupEvs, b)
+	if err != nil {
+		return err
 	}
-	argVecs := make([]*types.Vector, len(g.argEvs))
-	for i, ev := range g.argEvs {
-		if ev == nil {
-			continue
-		}
-		v, err := ev.Eval(b)
-		if err != nil {
-			return err
-		}
-		argVecs[i] = v
+	argVecs, err := evalAll(g.argEvs, b)
+	if err != nil {
+		return err
 	}
-	keyRow := make([]types.Value, len(keyVecs))
-	var touched map[string]*group
-	if g.mc != nil && g.mc.T != nil {
-		touched = make(map[string]*group)
-	}
+	g.batch++
+	g.touched = g.touched[:0]
 	var part []int // spill routing; allocated on first routed row
 	for r := 0; r < b.N; r++ {
-		for i, v := range keyVecs {
-			keyRow[i] = v.Get(r)
-		}
-		k := KeyEncoder(keyRow)
-		grp, ok := g.groups[k]
+		g.key = appendRowKey(g.key[:0], keyVecs, r)
+		grp, ok := g.groups[string(g.key)]
 		if !ok {
 			if g.spill != nil {
 				// New key after overflow: defer the row to its partition.
@@ -389,10 +419,15 @@ func (g *GroupTable) Consume(b *Batch) error {
 						part[i] = -1
 					}
 				}
-				part[r] = spillPartition(k, g.depth)
+				part[r] = spillPartition(g.key, g.depth)
 				continue
 			}
-			grp = g.insert(k, keyRow)
+			g.row = g.row[:0]
+			for _, v := range keyVecs {
+				g.row = append(g.row, v.Get(r))
+			}
+			grp = g.insert(g.row)
+			clear(g.row)
 		}
 		for i := range g.specs {
 			if argVecs[i] == nil {
@@ -401,8 +436,9 @@ func (g *GroupTable) Consume(b *Batch) error {
 				grp.states[i].Update(argVecs[i].Get(r))
 			}
 		}
-		if touched != nil {
-			touched[k] = grp
+		if grp.batch != g.batch {
+			grp.batch = g.batch
+			g.touched = append(g.touched, grp)
 		}
 	}
 	if part != nil {
@@ -410,12 +446,12 @@ func (g *GroupTable) Consume(b *Batch) error {
 			return err
 		}
 	}
-	if touched == nil {
+	if g.mc == nil || g.mc.T == nil {
 		return nil
 	}
 	var delta int64
-	for k, grp := range touched {
-		nb := groupMemBytes(k, grp)
+	for _, grp := range g.touched {
+		nb := groupMemBytes(grp)
 		delta += nb - grp.mem
 		grp.mem = nb
 	}
@@ -458,18 +494,25 @@ func (g *GroupTable) enterSpill() error {
 }
 
 func (g *GroupTable) lookup(keyRow []types.Value) *group {
-	k := KeyEncoder(keyRow)
-	grp, ok := g.groups[k]
+	g.key = appendKey(g.key[:0], keyRow)
+	grp, ok := g.groups[string(g.key)]
 	if !ok {
-		grp = g.insert(k, keyRow)
+		grp = g.insert(keyRow)
 	}
 	return grp
 }
 
-func (g *GroupTable) insert(k string, keyRow []types.Value) *group {
-	grp := &group{keys: append([]types.Value(nil), keyRow...)}
-	for _, spec := range g.specs {
-		grp.states = append(grp.states, NewAggState(spec))
+// insert adds the group whose key values are keyRow and whose encoded key
+// is in g.key. The key string is materialized here, once per group, and
+// the group's string key values are re-pointed into it so the table keeps
+// no reference into its input batches.
+func (g *GroupTable) insert(keyRow []types.Value) *group {
+	k := string(g.key)
+	grp := g.slab.alloc(len(keyRow), len(g.specs))
+	copy(grp.keys, keyRow)
+	internKeyStrings(k, grp.keys)
+	for i, spec := range g.specs {
+		grp.states[i] = NewAggState(spec)
 	}
 	g.groups[k] = grp
 	g.order = append(g.order, k)
@@ -555,8 +598,9 @@ func (g *GroupTable) MergeCtx(ctx context.Context, o *GroupTable) error {
 		if !ok {
 			g.groups[k] = og
 			g.order = append(g.order, k)
+			og.batch = 0
 			if g.mc != nil && g.mc.T != nil {
-				nb := groupMemBytes(k, og)
+				nb := groupMemBytes(og)
 				og.mem = nb
 				g.mc.grow(nb)
 				g.charged += nb

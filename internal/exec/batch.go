@@ -92,7 +92,9 @@ func (b *Batch) Gather(sel []int) *Batch {
 	return out
 }
 
-// Concat appends other's rows to b. Column layouts must match.
+// Concat appends other's rows to b. Column layouts must match. b copies
+// other's strings (Vector.AppendVector), so a batch that buffers rows
+// across its inputs holds only the bytes it charges for.
 func (b *Batch) Concat(other *Batch) error {
 	if len(b.Cols) != len(other.Cols) {
 		return fmt.Errorf("exec: concat width mismatch %d vs %d", len(b.Cols), len(other.Cols))
@@ -105,9 +107,7 @@ func (b *Batch) Concat(other *Batch) error {
 		switch {
 		case b.Cols[c] == nil && other.Cols[c] == nil:
 		case b.Cols[c] != nil && other.Cols[c] != nil:
-			for i := 0; i < other.N; i++ {
-				b.Cols[c].AppendFrom(other.Cols[c], i)
-			}
+			b.Cols[c].AppendVector(other.Cols[c])
 		default:
 			return fmt.Errorf("exec: concat materialization mismatch at column %d", c)
 		}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 
 	"redshift/internal/plan"
 	"redshift/internal/types"
@@ -152,58 +151,21 @@ func (p *Projector) Apply(b *Batch) (*Batch, error) {
 	return out, nil
 }
 
-// KeyEncoder renders a tuple of values into a comparable string key for
-// hash tables (joins, grouping, distinct). The encoding is injective.
-func KeyEncoder(vals []types.Value) string {
-	buf := make([]byte, 0, 16*len(vals))
-	for _, v := range vals {
-		if v.Null {
-			buf = append(buf, 0)
+// evalAll evaluates each expression over b; a nil evaluator (COUNT(*)'s
+// argument) yields a nil vector.
+func evalAll(evs []*Evaluator, b *Batch) ([]*types.Vector, error) {
+	vecs := make([]*types.Vector, len(evs))
+	for i, ev := range evs {
+		if ev == nil {
 			continue
 		}
-		buf = append(buf, 1, byte(v.T))
-		switch v.T {
-		case types.Float64:
-			buf = appendUint64(buf, floatKeyBits(v.F))
-		case types.String:
-			buf = appendUint64(buf, uint64(len(v.S)))
-			buf = append(buf, v.S...)
-		default:
-			buf = appendUint64(buf, uint64(v.I))
+		v, err := ev.Eval(b)
+		if err != nil {
+			return nil, err
 		}
+		vecs[i] = v
 	}
-	return string(buf)
-}
-
-func appendUint64(b []byte, x uint64) []byte {
-	return append(b,
-		byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
-		byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
-}
-
-func floatKeyBits(f float64) uint64 {
-	// Normalize -0 and +0 so they hash identically.
-	if f == 0 {
-		f = 0
-	}
-	return math.Float64bits(f)
-}
-
-// HashValues hashes a tuple for distribution (FNV-1a over the key
-// encoding), the same function the cluster layer uses to place rows by
-// distribution key, so planner co-location reasoning and executor shuffles
-// agree by construction.
-func HashValues(vals []types.Value) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range []byte(KeyEncoder(vals)) {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
+	return vecs, nil
 }
 
 // errWidth is a shared consistency failure.

@@ -7,7 +7,6 @@ import (
 
 	"redshift/internal/faults"
 	"redshift/internal/plan"
-	"redshift/internal/types"
 )
 
 // Exchange moves batches between per-slice pipelines through bounded
@@ -255,21 +254,15 @@ func NewShuffleRouter(mode Mode, keys []plan.Expr, n int) (RouteFn, error) {
 		evs[i] = ev
 	}
 	return func(b *Batch) ([]*Batch, error) {
-		keyVecs := make([]*types.Vector, len(evs))
-		for i, ev := range evs {
-			v, err := ev.Eval(b)
-			if err != nil {
-				return nil, err
-			}
-			keyVecs[i] = v
+		keyVecs, err := evalAll(evs, b)
+		if err != nil {
+			return nil, err
 		}
 		sel := make([][]int, n)
-		keyRow := make([]types.Value, len(keyVecs))
+		var key []byte
 		for r := 0; r < b.N; r++ {
-			for i, v := range keyVecs {
-				keyRow[i] = v.Get(r)
-			}
-			dst := int(HashValues(keyRow) % uint64(n))
+			key = appendRowKey(key[:0], keyVecs, r)
+			dst := int(fnv64(key) % uint64(n)) // HashValues of the row's keys
 			sel[dst] = append(sel[dst], r)
 		}
 		parts := make([]*Batch, n)

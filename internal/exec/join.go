@@ -23,10 +23,13 @@ type HashJoin struct {
 	leftKeys   []*Evaluator // over the left (probe) layout
 	buildKeys  []*Evaluator // over the right (build) local layout
 	rightWidth int
-	table      map[string][]int // key → build row positions
-	build      *Batch           // concatenated build rows (right-local layout)
-	buildTypes []types.Type     // right-side column types, noted from build input
-	residual   *Filter          // over the joined layout, inner joins only
+	table      map[string]int // key → index into chains
+	chains     []joinChain    // one per distinct build key
+	next       []int          // build row → next row with its key, -1 at the end
+	key        []byte         // reused key-encoding buffer for Build
+	build      *Batch         // concatenated build rows (right-local layout)
+	buildTypes []types.Type   // right-side column types, noted from build input
+	residual   *Filter        // over the joined layout, inner joins only
 
 	mc      *MemContext // nil → ungoverned (unlimited in-memory build)
 	charged int64       // bytes currently charged for build batch + table
@@ -37,6 +40,10 @@ type HashJoin struct {
 	hintRows  int64 // this slice's expected build rows
 	hinted    bool
 }
+
+// joinChain links one key's build rows through HashJoin.next, in ascending
+// build position — the order probes emit matches in.
+type joinChain struct{ head, tail int }
 
 // SetMemory attaches the join to the query's memory governance. Must be
 // called before Build.
@@ -61,7 +68,7 @@ func (j *HashJoin) applyHint() error {
 	j.hinted = false
 	if j.spill != nil || j.mc == nil || j.mc.T == nil || j.mc.Dir == nil {
 		if j.hintRows > 0 && j.spill == nil {
-			j.table = make(map[string][]int, j.hintRows)
+			j.table = make(map[string]int, j.hintRows)
 		}
 		return nil
 	}
@@ -69,7 +76,7 @@ func (j *HashJoin) applyHint() error {
 		return j.enterSpill()
 	}
 	if j.hintRows > 0 {
-		j.table = make(map[string][]int, j.hintRows)
+		j.table = make(map[string]int, j.hintRows)
 	}
 	return nil
 }
@@ -90,7 +97,7 @@ func NewHashJoin(mode Mode, step plan.JoinStep, rightWidth int) (*HashJoin, erro
 		kind:       step.Kind,
 		mode:       mode,
 		rightWidth: rightWidth,
-		table:      make(map[string][]int),
+		table:      make(map[string]int),
 		build:      NewBatch(rightWidth),
 	}
 	for _, k := range step.LeftKeys {
@@ -134,39 +141,57 @@ func (j *HashJoin) Build(b *Batch) error {
 	if err := j.alignAndConcat(b); err != nil {
 		return err
 	}
-	keyVecs := make([]*types.Vector, len(j.buildKeys))
-	for i, ev := range j.buildKeys {
-		v, err := ev.Eval(b)
-		if err != nil {
-			return err
-		}
-		keyVecs[i] = v
+	keyVecs, err := evalAll(j.buildKeys, b)
+	if err != nil {
+		return err
 	}
+	j.growNext()
 	delta := b.ByteSize()
-	keyRow := make([]types.Value, len(keyVecs))
 	for r := 0; r < b.N; r++ {
-		null := false
-		for i, v := range keyVecs {
-			keyRow[i] = v.Get(r)
-			if keyRow[i].Null {
-				null = true
-			}
-		}
-		if null {
+		if nullAt(keyVecs, r) {
 			continue // NULL keys never match
 		}
-		k := KeyEncoder(keyRow)
-		if _, ok := j.table[k]; !ok {
-			delta += joinKeyOverhead + int64(len(k))
+		j.key = appendRowKey(j.key[:0], keyVecs, r)
+		if j.link(j.key, base+r) {
+			delta += joinKeyOverhead + int64(len(j.key))
 		}
 		delta += joinPosBytes
-		j.table[k] = append(j.table[k], base+r)
 	}
 	if !j.mc.tryGrow(delta) {
 		return j.enterSpill()
 	}
 	j.charged += delta
 	return nil
+}
+
+// nullAt reports whether row r has a NULL key component.
+func nullAt(vecs []*types.Vector, r int) bool {
+	for _, v := range vecs {
+		if v.IsNull(r) {
+			return true
+		}
+	}
+	return false
+}
+
+// growNext extends the position chain to cover every build row.
+func (j *HashJoin) growNext() {
+	for len(j.next) < j.build.N {
+		j.next = append(j.next, -1)
+	}
+}
+
+// link appends build row pos to key's chain, reporting whether the key is
+// new (its string is materialized only then).
+func (j *HashJoin) link(key []byte, pos int) bool {
+	if c, ok := j.table[string(key)]; ok {
+		j.next[j.chains[c].tail] = pos
+		j.chains[c].tail = pos
+		return false
+	}
+	j.table[string(key)] = len(j.chains)
+	j.chains = append(j.chains, joinChain{head: pos, tail: pos})
+	return true
 }
 
 // enterSpill switches to grace-join mode: the accumulated build side is
@@ -178,7 +203,8 @@ func (j *HashJoin) enterSpill() error {
 	}
 	j.spill = g
 	full := j.build
-	j.table = make(map[string][]int)
+	j.table = make(map[string]int)
+	j.chains, j.next = nil, nil
 	j.build = NewBatch(j.rightWidth)
 	if err := g.addBuild(full); err != nil {
 		return err
@@ -244,7 +270,7 @@ func (j *HashJoin) shadow() *HashJoin {
 		leftKeys:   j.leftKeys,
 		buildKeys:  j.buildKeys,
 		rightWidth: j.rightWidth,
-		table:      make(map[string][]int),
+		table:      make(map[string]int),
 		build:      NewBatch(j.rightWidth),
 		buildTypes: j.buildTypes,
 		residual:   j.residual,
@@ -262,37 +288,31 @@ func (j *HashJoin) Probe(left *Batch) (*Batch, error) {
 // extra trailing column. The grace join uses it to thread each probe
 // row's global sequence number through per-partition joins so partition
 // outputs can be merged back into the exact in-memory probe order.
+// Morsel workers probe one join concurrently, so the key buffer lives on
+// the stack rather than in the join.
 func (j *HashJoin) ProbeCarry(left *Batch, carry *types.Vector) (*Batch, error) {
-	keyVecs := make([]*types.Vector, len(j.leftKeys))
-	for i, ev := range j.leftKeys {
-		v, err := ev.Eval(left)
-		if err != nil {
-			return nil, err
-		}
-		keyVecs[i] = v
+	keyVecs, err := evalAll(j.leftKeys, left)
+	if err != nil {
+		return nil, err
 	}
-	var leftSel, rightSel []int
-	keyRow := make([]types.Value, len(keyVecs))
+	leftSel := make([]int, 0, left.N)
+	rightSel := make([]int, 0, left.N)
+	var a [64]byte
+	key := a[:0]
 	for r := 0; r < left.N; r++ {
-		null := false
-		for i, v := range keyVecs {
-			keyRow[i] = v.Get(r)
-			if keyRow[i].Null {
-				null = true
-			}
+		c, ok := 0, false
+		if !nullAt(keyVecs, r) {
+			key = appendRowKey(key[:0], keyVecs, r)
+			c, ok = j.table[string(key)]
 		}
-		var matches []int
-		if !null {
-			matches = j.table[KeyEncoder(keyRow)]
-		}
-		if len(matches) == 0 {
+		if !ok {
 			if j.kind == sql.LeftJoin {
 				leftSel = append(leftSel, r)
 				rightSel = append(rightSel, -1) // null-extended
 			}
 			continue
 		}
-		for _, m := range matches {
+		for m := j.chains[c].head; m >= 0; m = j.next[m] {
 			leftSel = append(leftSel, r)
 			rightSel = append(rightSel, m)
 		}

@@ -21,7 +21,7 @@ const (
 // spillPartition assigns a key to one of spillFanout partitions; depth
 // salts the hash so each recursion level re-splits with an independent
 // partition function.
-func spillPartition(key string, depth int) int {
+func spillPartition(key []byte, depth int) int {
 	const (
 		off64   = 14695981039346656037
 		prime64 = 1099511628211
@@ -72,32 +72,58 @@ func newGraceSpill(j *HashJoin) (*graceSpill, error) {
 	return g, nil
 }
 
-// keyStrings evaluates key expressions over b and encodes each row's key;
-// null[r] reports a NULL component (never matches).
-func keyStrings(evs []*Evaluator, b *Batch) (keys []string, null []bool, err error) {
-	keyVecs := make([]*types.Vector, len(evs))
-	for i, ev := range evs {
-		v, e := ev.Eval(b)
-		if e != nil {
-			return nil, nil, e
-		}
-		keyVecs[i] = v
+// batchKeys is one batch's encoded join keys, back to back in one buffer:
+// row r's key ends at ends[r].
+type batchKeys struct {
+	buf  []byte
+	ends []int
+}
+
+// encodeKeys evaluates key expressions over b and encodes every row's key.
+func encodeKeys(evs []*Evaluator, b *Batch) (batchKeys, error) {
+	vecs, err := evalAll(evs, b)
+	if err != nil {
+		return batchKeys{}, err
 	}
-	keys = make([]string, b.N)
-	null = make([]bool, b.N)
-	keyRow := make([]types.Value, len(keyVecs))
+	k := batchKeys{buf: make([]byte, 0, 10*len(vecs)*b.N), ends: make([]int, b.N)}
 	for r := 0; r < b.N; r++ {
-		for i, v := range keyVecs {
-			keyRow[i] = v.Get(r)
-			if keyRow[i].Null {
-				null[r] = true
-			}
+		if !nullAt(vecs, r) {
+			k.buf = appendRowKey(k.buf, vecs, r)
 		}
-		if !null[r] {
-			keys[r] = KeyEncoder(keyRow)
+		k.ends[r] = len(k.buf)
+	}
+	return k, nil
+}
+
+// key returns row r's key, or nil when it has a NULL component (never
+// matches). A real key is never empty: a join has at least one key.
+func (k batchKeys) key(r int) []byte {
+	start := 0
+	if r > 0 {
+		start = k.ends[r-1]
+	}
+	if k.ends[r] == start {
+		return nil
+	}
+	return k.buf[start:k.ends[r]]
+}
+
+// spillParts assigns each row of b to a partition at depth by its key;
+// rows with a NULL key go to nullPart (-1 drops them).
+func spillParts(evs []*Evaluator, b *Batch, depth, nullPart int) ([]int, error) {
+	keys, err := encodeKeys(evs, b)
+	if err != nil {
+		return nil, err
+	}
+	part := make([]int, b.N)
+	for r := range part {
+		if k := keys.key(r); k == nil {
+			part[r] = nullPart
+		} else {
+			part[r] = spillPartition(k, depth)
 		}
 	}
-	return keys, null, nil
+	return part, nil
 }
 
 // scatter writes b's rows into files by partition assignment. Rows with
@@ -130,17 +156,9 @@ func (g *graceSpill) addBuild(b *Batch) error {
 	if b == nil || b.N == 0 {
 		return nil
 	}
-	keys, null, err := keyStrings(g.j.buildKeys, b)
+	part, err := spillParts(g.j.buildKeys, b, 0, -1)
 	if err != nil {
 		return err
-	}
-	part := make([]int, b.N)
-	for r := range part {
-		if null[r] {
-			part[r] = -1
-			continue
-		}
-		part[r] = spillPartition(keys[r], 0)
 	}
 	return scatter(b, part, g.buildFiles)
 }
@@ -153,20 +171,13 @@ func (g *graceSpill) addProbe(b *Batch) error {
 	if b == nil || b.N == 0 {
 		return nil
 	}
-	keys, null, err := keyStrings(g.j.leftKeys, b)
+	nullPart := -1
+	if g.j.kind == sql.LeftJoin {
+		nullPart = 0
+	}
+	part, err := spillParts(g.j.leftKeys, b, 0, nullPart)
 	if err != nil {
 		return err
-	}
-	part := make([]int, b.N)
-	for r := range part {
-		switch {
-		case !null[r]:
-			part[r] = spillPartition(keys[r], 0)
-		case g.j.kind == sql.LeftJoin:
-			part[r] = 0
-		default:
-			part[r] = -1
-		}
 	}
 	return scatter(withSeqCol(b, &g.seq), part, g.probeFiles)
 }
@@ -325,12 +336,9 @@ func (g *graceSpill) subdivide(ctx context.Context, bf, pf *spillFile, depth int
 		if b == nil {
 			break
 		}
-		keys, _, err := keyStrings(g.j.buildKeys, b)
+		// NULL-key build rows were dropped at depth 0.
+		part, err := spillParts(g.j.buildKeys, b, nd, -1)
 		if err == nil {
-			part := make([]int, b.N)
-			for r := range part {
-				part[r] = spillPartition(keys[r], nd)
-			}
 			err = scatter(b, part, subB)
 		}
 		PutBatch(b)
@@ -351,16 +359,10 @@ func (g *graceSpill) subdivide(ctx context.Context, bf, pf *spillFile, depth int
 			break
 		}
 		left := &Batch{Cols: b.Cols[:len(b.Cols)-1], N: b.N}
-		keys, null, err := keyStrings(g.j.leftKeys, left)
+		// Only LEFT JOIN NULL-key rows remain; inner ones were dropped at
+		// depth 0.
+		part, err := spillParts(g.j.leftKeys, left, nd, 0)
 		if err == nil {
-			part := make([]int, b.N)
-			for r := range part {
-				if null[r] {
-					part[r] = 0 // LEFT JOIN nulls; inner nulls were dropped at depth 0
-				} else {
-					part[r] = spillPartition(keys[r], nd)
-				}
-			}
 			err = scatter(b, part, subP)
 		}
 		PutBatch(b)

@@ -8,7 +8,6 @@ import (
 	"redshift/internal/plan"
 	"redshift/internal/storage"
 	"redshift/internal/telemetry"
-	"redshift/internal/types"
 )
 
 // Operator is one node of a streaming physical-operator chain: the
@@ -330,42 +329,23 @@ func (o *PartialAggOp) Table() *GroupTable { return o.gt }
 // filtering with a shared seen-set produces.
 type StreamDistinctOp struct {
 	child Operator
-	seen  map[string]bool
+	seen  *rowSet
 }
 
 // NewStreamDistinctOp prepares a streaming partial-distinct.
 func NewStreamDistinctOp(child Operator) *StreamDistinctOp {
-	return &StreamDistinctOp{child: child, seen: map[string]bool{}}
+	return &StreamDistinctOp{child: child, seen: newRowSet(0)}
 }
 
 func (o *StreamDistinctOp) Open(ctx context.Context) error { return o.child.Open(ctx) }
 
 func (o *StreamDistinctOp) Next(ctx context.Context) (*Batch, error) {
-	row := make([]types.Value, 0, 8)
 	for {
 		b, err := o.child.Next(ctx)
 		if err != nil || b == nil {
 			return nil, err
 		}
-		var sel []int
-		row = row[:0]
-		for c := 0; c < len(b.Cols); c++ {
-			row = append(row, types.Value{})
-		}
-		for i := 0; i < b.N; i++ {
-			for c, v := range b.Cols {
-				if v != nil {
-					row[c] = v.Get(i)
-				} else {
-					row[c] = types.Value{}
-				}
-			}
-			k := KeyEncoder(row)
-			if !o.seen[k] {
-				o.seen[k] = true
-				sel = append(sel, i)
-			}
-		}
+		sel, _ := o.seen.filter(b)
 		if len(sel) == b.N {
 			return b, nil
 		}
@@ -591,11 +571,9 @@ func (o *FinalizeOp) Next(ctx context.Context) (*Batch, error) {
 		return nil, nil
 	}
 	o.done = true
-	var seen map[string]bool
-	var row []types.Value
+	var seen *rowSet
 	if o.distinct {
-		seen = map[string]bool{}
-		row = make([]types.Value, o.width)
+		seen = newRowSet(0)
 	}
 	var sorter *ExternalSorter
 	var merged *Batch
@@ -619,22 +597,8 @@ func (o *FinalizeOp) Next(ctx context.Context) (*Batch, error) {
 		// child's batches are never released here; gathered copies are.
 		fb := b
 		if o.distinct {
-			var sel []int
-			for i := 0; i < b.N; i++ {
-				for c, v := range b.Cols {
-					if v != nil {
-						row[c] = v.Get(i)
-					} else {
-						row[c] = types.Value{}
-					}
-				}
-				k := KeyEncoder(row)
-				if !seen[k] {
-					seen[k] = true
-					o.mc.grow(int64(len(k)) + 48)
-					sel = append(sel, i)
-				}
-			}
+			sel, keyBytes := seen.filter(b)
+			o.mc.grow(keyBytes + 48*int64(len(sel)))
 			if len(sel) == 0 {
 				continue
 			}

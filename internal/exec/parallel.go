@@ -57,7 +57,7 @@ func (q *MorselQueue) Next() (Morsel, bool) {
 func (q *MorselQueue) Len() int { return len(q.units) }
 
 // fnvOwner assigns a hash key to one of dop owner-workers (FNV-1a).
-func fnvOwner(k string, dop int) int {
+func fnvOwner(k []byte, dop int) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(k); i++ {
 		h ^= uint32(k[i])
@@ -75,10 +75,10 @@ func fnvOwner(k string, dop int) int {
 //     spill cutover), but without touching the hash table.
 //  2. Parallel key evaluation: workers encode every batch's join keys.
 //  3. Partitioned insert: dop owner-workers each scan all keys in batch
-//     order and insert only the keys they own (hash(k) % dop) into a
-//     private map at the row's global build position, so per-key position
-//     lists come out ascending — the serial insert order. The disjoint
-//     maps are then unified into j.table.
+//     order and link only the keys they own (hash(k) % dop) into a
+//     private table at the row's global build position, so per-key
+//     chains come out ascending — the serial insert order. The disjoint
+//     tables are then unified into j.table.
 //
 // Memory: phase 1 charges batch bytes per batch; the table's key/position
 // overhead is charged as one lump after phase 3. If either charge fails,
@@ -129,8 +129,8 @@ func (j *HashJoin) ParallelBuild(ctx context.Context, src []*Batch, dop int) err
 	}
 
 	// Phase 2: parallel key evaluation.
-	keys := make([][]string, nb)
-	nulls := make([][]bool, nb)
+	j.growNext()
+	keys := make([]batchKeys, nb)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	errs := make([]error, dop)
@@ -147,12 +147,12 @@ func (j *HashJoin) ParallelBuild(ctx context.Context, src []*Batch, dop int) err
 					errs[w] = err
 					return
 				}
-				ks, nl, err := keyStrings(j.buildKeys, retained[i])
+				ks, err := encodeKeys(j.buildKeys, retained[i])
 				if err != nil {
 					errs[w] = err
 					return
 				}
-				keys[i], nulls[i] = ks, nl
+				keys[i] = ks
 			}
 		}(w)
 	}
@@ -163,31 +163,27 @@ func (j *HashJoin) ParallelBuild(ctx context.Context, src []*Batch, dop int) err
 		}
 	}
 
-	// Phase 3: owner-partitioned inserts into disjoint maps.
-	subs := make([]map[string][]int, dop)
+	// Phase 3: owner-partitioned inserts into disjoint tables. Owners
+	// link disjoint build rows, so they share j.next without conflict.
+	subs := make([]*HashJoin, dop)
 	deltas := make([]int64, dop)
 	for w := 0; w < dop; w++ {
 		wg.Add(1)
 		go func(owner int) {
 			defer wg.Done()
-			sub := make(map[string][]int)
+			sub := &HashJoin{table: make(map[string]int), next: j.next}
 			var delta int64
 			for i := 0; i < nb; i++ {
-				ks, nl := keys[i], nulls[i]
 				base := bases[i]
-				for r := range ks {
-					if nl[r] {
-						continue // NULL keys never match
+				for r := range keys[i].ends {
+					k := keys[i].key(r)
+					if k == nil || fnvOwner(k, dop) != owner {
+						continue // a NULL key (never matches) or another owner's
 					}
-					k := ks[r]
-					if fnvOwner(k, dop) != owner {
-						continue
-					}
-					if _, ok := sub[k]; !ok {
+					if sub.link(k, base+r) {
 						delta += joinKeyOverhead + int64(len(k))
 					}
 					delta += joinPosBytes
-					sub[k] = append(sub[k], base+r)
 				}
 			}
 			subs[owner], deltas[owner] = sub, delta
@@ -196,10 +192,11 @@ func (j *HashJoin) ParallelBuild(ctx context.Context, src []*Batch, dop int) err
 	wg.Wait()
 
 	var keyDelta int64
-	for w := 0; w < dop; w++ {
+	for w, sub := range subs {
 		keyDelta += deltas[w]
-		for k, pos := range subs[w] {
-			j.table[k] = pos
+		for k, c := range sub.table {
+			j.table[k] = len(j.chains)
+			j.chains = append(j.chains, sub.chains[c])
 		}
 	}
 	if !j.mc.tryGrow(keyDelta) {
@@ -301,8 +298,9 @@ func MergeWorkerAggs(ctx context.Context, dst *GroupTable, workers []*WorkerAgg)
 		}
 		dst.groups[k] = og
 		dst.order = append(dst.order, k)
+		og.batch = 0
 		if dst.mc != nil && dst.mc.T != nil {
-			nb := groupMemBytes(k, og)
+			nb := groupMemBytes(og)
 			og.mem = nb
 			dst.mc.grow(nb)
 			dst.charged += nb
@@ -317,37 +315,18 @@ func MergeWorkerAggs(ctx context.Context, dst *GroupTable, workers []*WorkerAgg)
 // sieve — so a final slice-level StreamDistinct pass over the sieved
 // batches in morsel order emits exactly the serial survivor stream.
 type DistinctSieve struct {
-	seen map[string]bool
-	row  []types.Value
+	seen *rowSet
 }
 
 // NewDistinctSieve prepares an empty per-worker sieve.
-func NewDistinctSieve() *DistinctSieve { return &DistinctSieve{seen: map[string]bool{}} }
+func NewDistinctSieve() *DistinctSieve { return &DistinctSieve{seen: newRowSet(0)} }
 
 // Apply drops rows this worker has already seen, following the
 // StreamDistinct ownership contract: the input is returned untouched when
 // every row survives, released and replaced by a gathered copy when some
 // do, and released with nil returned when none do.
 func (d *DistinctSieve) Apply(b *Batch) *Batch {
-	d.row = d.row[:0]
-	for c := 0; c < len(b.Cols); c++ {
-		d.row = append(d.row, types.Value{})
-	}
-	var sel []int
-	for i := 0; i < b.N; i++ {
-		for c, v := range b.Cols {
-			if v != nil {
-				d.row[c] = v.Get(i)
-			} else {
-				d.row[c] = types.Value{}
-			}
-		}
-		k := KeyEncoder(d.row)
-		if !d.seen[k] {
-			d.seen[k] = true
-			sel = append(sel, i)
-		}
-	}
+	sel, _ := d.seen.filter(b)
 	if len(sel) == b.N {
 		return b
 	}

@@ -573,6 +573,8 @@ func ComputeStats(def *catalog.TableDef, rows []types.Row) catalog.TableStats {
 		}
 	}
 	for ci := range stats.Cols {
+		stats.Cols[ci].Min = stats.Cols[ci].Min.Detached()
+		stats.Cols[ci].Max = stats.Cols[ci].Max.Detached()
 		stats.Cols[ci].NDV = sketches[ci].Estimate()
 		stats.Cols[ci].Sketch = sketches[ci].Marshal()
 	}

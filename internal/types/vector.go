@@ -246,8 +246,9 @@ func (v *Vector) Clone() *Vector {
 	return out
 }
 
-// MinMax returns the smallest and largest non-null values, for zone maps.
-// ok is false when every value is null or the vector is empty.
+// MinMax returns the smallest and largest non-null values, for zone maps,
+// detached from v's storage. ok is false when every value is null or the
+// vector is empty.
 func (v *Vector) MinMax() (min, max Value, ok bool) {
 	n := v.Len()
 	for i := 0; i < n; i++ {
@@ -266,7 +267,7 @@ func (v *Vector) MinMax() (min, max Value, ok bool) {
 			max = val
 		}
 	}
-	return min, max, ok
+	return min.Detached(), max.Detached(), ok
 }
 
 // NullCount returns the number of null positions.

@@ -19,14 +19,16 @@ race:
 
 # Scheduling-dependent suites at several core counts: WLM admission, the
 # result and block caches (including the mutation-interleaved cache twin),
-# the morsel twins, and the per-batch allocation bounds of the hash
-# operators and string decode. A test that only passes on one core count
+# the morsel twins, the per-batch allocation bounds of the hash
+# operators and string decode, and the wire server's concurrent-client
+# and shutdown suites. A test that only passes on one core count
 # asserts a scheduling accident, not the behaviour it names.
 STRESS = $(GO) test -cpu 1,2,4 -count=3
 stress:
 	$(STRESS) -run 'TestWLM|TestResultCache|TestBlockCache|TestMutationInterleaved|TestVacuumConcurrent' ./internal/core
 	$(STRESS) -run 'TestParallel' .
 	$(STRESS) -run 'AllocsPer|TestAggCharges|TestKeyEncoding' ./internal/exec ./internal/compress
+	$(STRESS) -run 'TestWire|TestConcurrentClients|TestEndToEnd|TestQueryRoundTrip|TestMultipleSequential|TestServerClose' ./internal/wire
 
 # Short randomized-fault run under the race detector: query battery with
 # injected read errors and latency spikes must match a fault-free twin, a

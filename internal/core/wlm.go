@@ -559,21 +559,21 @@ func (w *WLM) Stats() WLMStats {
 
 // WLMQueueStats is one queue's configuration and counters.
 type WLMQueueStats struct {
-	Name        string
-	Slots       int
-	Priority    int
-	MemPerSlot  int64
-	MaxEstRows  int64
-	Timeout     time.Duration
-	Active      int
-	PeakActive  int
-	Queued      int
-	PeakQueued  int
-	TotalRun    int64
-	TotalWait   time.Duration
-	Timeouts    int64
-	Evictions   int64
-	OldestWait  time.Duration
+	Name       string
+	Slots      int
+	Priority   int
+	MemPerSlot int64
+	MaxEstRows int64
+	Timeout    time.Duration
+	Active     int
+	PeakActive int
+	Queued     int
+	PeakQueued int
+	TotalRun   int64
+	TotalWait  time.Duration
+	Timeouts   int64
+	Evictions  int64
+	OldestWait time.Duration
 }
 
 // QueueStats snapshots every queue, ordered by descending priority then

@@ -38,13 +38,13 @@ func TestWLMRoute(t *testing.T) {
 		cost  int64
 		want  string
 	}{
-		{"", 50, "express"},     // cheap and sized ⇒ fast lane
-		{"etl", 50, "express"},  // fast lane wins over query_group
-		{"", 101, "default"},    // over the threshold
-		{"etl", 101, "etl"},     // routed by group
-		{"ETL", 101, "etl"},     // case-insensitive
+		{"", 50, "express"},    // cheap and sized ⇒ fast lane
+		{"etl", 50, "express"}, // fast lane wins over query_group
+		{"", 101, "default"},   // over the threshold
+		{"etl", 101, "etl"},    // routed by group
+		{"ETL", 101, "etl"},    // case-insensitive
 		{"nosuch", 101, "default"},
-		{"", -1, "default"},     // unknown cost must never ride the fast lane
+		{"", -1, "default"}, // unknown cost must never ride the fast lane
 		{"etl", -1, "etl"},
 	}
 	for _, c := range cases {

@@ -539,13 +539,29 @@ func (g *GroupTable) shadow() *GroupTable {
 // sub-table. Partition files are deleted as they are consumed; a table
 // can be drained once.
 func (g *GroupTable) Drain(ctx context.Context, fn func(k string, grp *group) error) error {
-	for _, k := range g.order {
-		if err := ctx.Err(); err != nil {
-			return err
+	return g.drain(ctx, fn, nil)
+}
+
+// drainCheckEvery is how many groups Drain visits between cancellation
+// checks.
+const drainCheckEvery = 1024
+
+// drain is Drain with a hook: settle (may be nil) runs after the resident
+// groups and after each spilled partition's groups were visited, before
+// that partition's shadow table returns its memory.
+func (g *GroupTable) drain(ctx context.Context, fn func(k string, grp *group) error, settle func()) error {
+	for i, k := range g.order {
+		if i%drainCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
 		if err := fn(k, g.groups[k]); err != nil {
 			return err
 		}
+	}
+	if settle != nil {
+		settle()
 	}
 	if g.spill == nil {
 		return nil
@@ -574,7 +590,7 @@ func (g *GroupTable) Drain(ctx context.Context, fn func(k string, grp *group) er
 				return err
 			}
 		}
-		if err := sub.Drain(ctx, fn); err != nil {
+		if err := sub.drain(ctx, fn, settle); err != nil {
 			return err
 		}
 		g.mc.shrink(sub.charged)
@@ -591,19 +607,26 @@ func (g *GroupTable) Merge(o *GroupTable) error {
 
 // MergeCtx merges with cancellation, draining o's spilled partitions if
 // it overflowed. Adopted groups are charged to g's tracker (forced: the
-// leader merge works over shipped states, which cannot re-spill).
+// leader merge works over shipped states, which cannot re-spill), in one
+// charge per drained phase: o's resident groups, then each spilled
+// partition.
 func (g *GroupTable) MergeCtx(ctx context.Context, o *GroupTable) error {
-	return o.Drain(ctx, func(k string, og *group) error {
+	tracked := g.mc != nil && g.mc.T != nil
+	var adopted int64 // bytes of adopted groups not yet charged
+	settle := func() {
+		g.mc.grow(adopted)
+		g.charged += adopted
+		adopted = 0
+	}
+	err := o.drain(ctx, func(k string, og *group) error {
 		grp, ok := g.groups[k]
 		if !ok {
 			g.groups[k] = og
 			g.order = append(g.order, k)
 			og.batch = 0
-			if g.mc != nil && g.mc.T != nil {
-				nb := groupMemBytes(og)
-				og.mem = nb
-				g.mc.grow(nb)
-				g.charged += nb
+			if tracked {
+				og.mem = groupMemBytes(og)
+				adopted += og.mem
 			}
 			return nil
 		}
@@ -611,7 +634,18 @@ func (g *GroupTable) MergeCtx(ctx context.Context, o *GroupTable) error {
 			grp.states[i].Merge(og.states[i])
 		}
 		return nil
-	})
+	}, settle)
+	settle() // groups adopted before an error stay charged
+	return err
+}
+
+// reserve sizes an empty table for at least n groups, so a leader merge
+// does not regrow its map and order list group by group.
+func (g *GroupTable) reserve(n int) {
+	if len(g.groups) == 0 && n > 0 {
+		g.groups = make(map[string]*group, n)
+		g.order = make([]string, 0, n)
+	}
 }
 
 // NumGroups returns the number of distinct grouping keys seen.

@@ -298,7 +298,7 @@ func TestRowBuffersKeepNoInputStrings(t *testing.T) {
 	}
 	check("join build side", j.build.Cols[1].Strs)
 
-	s := NewExternalSorter([]plan.OrderKey{{Index: 0}}, 2, nil)
+	s := NewExternalSorter([]plan.OrderKey{{Index: 0}}, 2, nil, -1)
 	if err := s.Add(in.Gather(sel)); err != nil {
 		t.Fatal(err)
 	}

@@ -360,10 +360,10 @@ func (o *StreamDistinctOp) Next(ctx context.Context) (*Batch, error) {
 
 func (o *StreamDistinctOp) Close() error { return o.child.Close() }
 
-// TopNOp is a pipeline breaker: it sorts its whole input through an
-// ExternalSorter (spilling runs when over the memory grant), truncates to
-// the limit, and emits exactly one batch (possibly empty) — the
-// slice-local ORDER BY + LIMIT pushdown.
+// TopNOp is a pipeline breaker: it feeds its whole input through a
+// bounded ExternalSorter, which keeps only the first limit rows (spilling
+// runs when even those outgrow the memory grant), and emits exactly one
+// batch (possibly empty) — the slice-local ORDER BY + LIMIT pushdown.
 type TopNOp struct {
 	child Operator
 	keys  []plan.OrderKey
@@ -388,7 +388,7 @@ func (o *TopNOp) Next(ctx context.Context) (*Batch, error) {
 		return nil, nil
 	}
 	o.done = true
-	sorter := NewExternalSorter(o.keys, o.width, o.mc)
+	sorter := NewExternalSorter(o.keys, o.width, o.mc, o.limit)
 	for {
 		b, err := o.child.Next(ctx)
 		if err != nil {
@@ -398,41 +398,13 @@ func (o *TopNOp) Next(ctx context.Context) (*Batch, error) {
 			break
 		}
 		err = sorter.Add(b)
-		// Add copied the rows; the streamed batch is spent.
+		// Add copied the rows it kept; the streamed batch is spent.
 		PutBatch(b)
 		if err != nil {
 			return nil, err
 		}
 	}
-	return collectSorted(ctx, sorter, o.width, o.limit)
-}
-
-// collectSorted drains a sorter's merged stream into one batch, stopping
-// once limit rows (if any) have been gathered.
-func collectSorted(ctx context.Context, sorter *ExternalSorter, width int, limit int64) (*Batch, error) {
-	stream, err := sorter.Stream(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := NewBatch(width)
-	for {
-		if limit >= 0 && int64(out.N) >= limit {
-			break
-		}
-		b, err := stream.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		err = out.Concat(b)
-		PutBatch(b)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return TopN(out, limit), nil
+	return sorter.Result(ctx)
 }
 
 func (o *TopNOp) Close() error {
@@ -466,6 +438,11 @@ func (o *GroupMergeOp) Next(ctx context.Context) (*Batch, error) {
 		return nil, nil
 	}
 	o.done = true
+	most := 0
+	for _, t := range o.tables {
+		most = max(most, t.NumGroups())
+	}
+	o.leader.reserve(most)
 	for sl, t := range o.tables {
 		if sl > 0 && o.ship != nil {
 			o.ship(sl, t)
@@ -543,8 +520,9 @@ func (o *LeaderMergeOp) Close() error { return nil }
 // breaker when any of those is set; either way it emits exactly one batch
 // so the driver always has a well-formed (possibly empty) result.
 // DISTINCT filters streamwise (first occurrence wins, as before), ORDER
-// BY runs through an ExternalSorter so a larger-than-memory leader sort
-// spills runs instead of holding everything; without ORDER BY the leader
+// BY runs through an ExternalSorter bounded by the LIMIT, so a top-N keeps
+// only its candidates and a larger-than-memory leader sort spills runs
+// instead of holding everything; without ORDER BY the leader
 // must materialize the result anyway and the concat is charged (forced)
 // so peak accounting stays honest.
 type FinalizeOp struct {
@@ -578,7 +556,7 @@ func (o *FinalizeOp) Next(ctx context.Context) (*Batch, error) {
 	var sorter *ExternalSorter
 	var merged *Batch
 	if len(o.keys) > 0 {
-		sorter = NewExternalSorter(o.keys, o.width, o.mc)
+		sorter = NewExternalSorter(o.keys, o.width, o.mc, o.limit)
 	} else {
 		merged = NewBatch(o.width)
 	}
@@ -620,7 +598,7 @@ func (o *FinalizeOp) Next(ctx context.Context) (*Batch, error) {
 		}
 	}
 	if sorter != nil {
-		return collectSorted(ctx, sorter, o.width, o.limit)
+		return sorter.Result(ctx)
 	}
 	return TopN(merged, o.limit), nil
 }

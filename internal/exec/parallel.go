@@ -347,16 +347,18 @@ func (d *DistinctSieve) Apply(b *Batch) *Batch {
 type TopNPartial struct {
 	sorter *ExternalSorter
 	width  int // payload width, without the seq column
-	limit  int64
 }
 
 // NewTopNPartial prepares one worker's partial sorter. width is the
 // projection width; the sorter runs over width+1 columns (payload + seq).
 func NewTopNPartial(keys []plan.OrderKey, limit int64, width int, mc *MemContext) *TopNPartial {
-	ks := make([]plan.OrderKey, 0, len(keys)+1)
-	ks = append(ks, keys...)
-	ks = append(ks, plan.OrderKey{Index: width})
-	return &TopNPartial{sorter: NewExternalSorter(ks, width+1, mc), width: width, limit: limit}
+	return &TopNPartial{sorter: NewExternalSorter(seqKeys(keys, width), width+1, mc, limit), width: width}
+}
+
+// seqKeys extends the ORDER BY keys with the morsel-sequence column that
+// follows a width-column payload.
+func seqKeys(keys []plan.OrderKey, width int) []plan.OrderKey {
+	return append(append(make([]plan.OrderKey, 0, len(keys)+1), keys...), plan.OrderKey{Index: width})
 }
 
 // Add folds one post-projection batch tagged with its morsel sequence.
@@ -378,7 +380,7 @@ func (t *TopNPartial) Add(b *Batch, seq int64) error {
 // Collect returns this worker's at-most-limit candidate rows sorted by
 // (keys, seq), releasing the sorter's memory.
 func (t *TopNPartial) Collect(ctx context.Context) (*Batch, error) {
-	b, err := collectSorted(ctx, t.sorter, t.width+1, t.limit)
+	b, err := t.sorter.Result(ctx)
 	t.sorter.Release()
 	return b, err
 }
@@ -388,28 +390,21 @@ func (t *TopNPartial) Collect(ctx context.Context) (*Batch, error) {
 func (t *TopNPartial) Release() { t.sorter.Release() }
 
 // MergeTopNPartials combines per-worker candidate batches into the exact
-// slice-level top-N: concatenate, stable-sort by (keys, seq), truncate,
+// slice-level top-N: feed them through one bounded sorter by (keys, seq),
 // strip the seq column. Partial batches are consumed.
 func MergeTopNPartials(parts []*Batch, keys []plan.OrderKey, limit int64, width int) (*Batch, error) {
-	merged := NewBatch(width + 1)
+	sorter := NewExternalSorter(seqKeys(keys, width), width+1, nil, limit)
 	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if p.N == 0 {
-			PutBatch(p)
-			continue
-		}
-		err := merged.Concat(p)
+		err := sorter.Add(p)
 		PutBatch(p)
 		if err != nil {
 			return nil, err
 		}
 	}
-	ks := make([]plan.OrderKey, 0, len(keys)+1)
-	ks = append(ks, keys...)
-	ks = append(ks, plan.OrderKey{Index: width})
-	out := TopN(SortBatch(merged, ks), limit)
+	out, err := sorter.Result(context.Background())
+	if err != nil {
+		return nil, err
+	}
 	out.Cols = out.Cols[:width]
 	return out, nil
 }

@@ -19,28 +19,15 @@ func SortBatch(b *Batch, keys []plan.OrderKey) *Batch {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(x, y int) bool {
-		return compareRows(b, idx[x], idx[y], keys) < 0
+		return crossCompare(b, idx[x], b, idx[y], keys) < 0
 	})
 	return b.Gather(idx)
 }
 
-// compareRows orders two rows of a batch by the keys.
-func compareRows(b *Batch, x, y int, keys []plan.OrderKey) int {
-	for _, k := range keys {
-		v := b.Cols[k.Index]
-		c := types.Compare(v.Get(x), v.Get(y))
-		if c != 0 {
-			if k.Desc {
-				return -c
-			}
-			return c
-		}
-	}
-	return 0
-}
-
 // MergeSorted merges pre-sorted batches into one sorted batch — the leader
-// node's merge step over per-slice sorted streams.
+// node's merge step over per-slice sorted streams. Ties go to the earlier
+// batch. The inputs are concatenated once and the merge only picks row
+// positions, so the output is built by a single gather.
 func MergeSorted(batches []*Batch, keys []plan.OrderKey) (*Batch, error) {
 	var nonEmpty []*Batch
 	for _, b := range batches {
@@ -54,30 +41,30 @@ func MergeSorted(batches []*Batch, keys []plan.OrderKey) (*Batch, error) {
 		}
 		return &Batch{}, nil
 	}
-	out := NewBatch(len(nonEmpty[0].Cols))
+	all := NewBatch(len(nonEmpty[0].Cols))
+	base := make([]int, len(nonEmpty))
+	for i, b := range nonEmpty {
+		base[i] = all.N
+		if err := all.Concat(b); err != nil {
+			return nil, err
+		}
+	}
 	pos := make([]int, len(nonEmpty))
-	for {
+	sel := make([]int, 0, all.N)
+	for len(sel) < all.N {
 		best := -1
 		for i, b := range nonEmpty {
 			if pos[i] >= b.N {
 				continue
 			}
-			if best == -1 {
-				best = i
-				continue
-			}
-			if crossCompare(nonEmpty[i], pos[i], nonEmpty[best], pos[best], keys) < 0 {
+			if best == -1 || crossCompare(b, pos[i], nonEmpty[best], pos[best], keys) < 0 {
 				best = i
 			}
 		}
-		if best == -1 {
-			return out, nil
-		}
-		if err := out.Concat(nonEmpty[best].Gather([]int{pos[best]})); err != nil {
-			return nil, err
-		}
+		sel = append(sel, base[best]+pos[best])
 		pos[best]++
 	}
+	return all.Gather(sel), nil
 }
 
 func crossCompare(a *Batch, ai int, b *Batch, bi int, keys []plan.OrderKey) int {

@@ -129,7 +129,7 @@ func BenchmarkExternalSort(b *testing.B) {
 			if governed {
 				mc = benchMemCtx(b, budget)
 			}
-			s := NewExternalSorter(keys, 2, mc)
+			s := NewExternalSorter(keys, 2, mc, -1)
 			for _, bb := range input {
 				if err := s.Add(bb); err != nil {
 					b.Fatal(err)

@@ -94,9 +94,9 @@ func sameRows(t *testing.T, label string, got, want []string) {
 
 // joinShape is one randomized grace-join scenario.
 type joinShape struct {
-	name             string
-	buildN, probeN   int
-	dupMod           int
+	name                 string
+	buildN, probeN       int
+	dupMod               int
 	buildNull, probeNull float64
 }
 
@@ -270,7 +270,7 @@ func TestPropExternalSortMatchesInMemory(t *testing.T) {
 				}
 				want := batchRowStrings(SortBatch(all, keys))
 
-				s := NewExternalSorter(keys, 2, govCtx(t, 2<<10))
+				s := NewExternalSorter(keys, 2, govCtx(t, 2<<10), -1)
 				var inBytes int64
 				for _, b := range batches {
 					inBytes += b.ByteSize()

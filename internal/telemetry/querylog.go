@@ -17,8 +17,8 @@ type QueryRecord struct {
 	// cache hits and statements that bypass WLM.
 	Queue     string
 	QueueWait time.Duration
-	PlanTime   time.Duration
-	ExecTime   time.Duration
+	PlanTime  time.Duration
+	ExecTime  time.Duration
 	// Rows is the result row count.
 	Rows          int64
 	BlocksRead    int64

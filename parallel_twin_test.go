@@ -10,14 +10,17 @@ import (
 )
 
 // parallelBattery is the twin suite for morsel-driven execution: the spill
-// battery (joins, high-cardinality aggregation, full sorts, DISTINCT) plus
-// parallel-sensitive extras — a TopN whose sort key has heavy ties (LIMIT
-// cuts mid-tie, so any instability in the per-worker partial sort shows up
-// as different ts values), a selective filter, and a grand aggregate.
+// battery (joins, high-cardinality aggregation, full sorts, DISTINCT,
+// bounded top-N) plus parallel-sensitive extras — TopNs whose sort key has
+// heavy ties (LIMIT cuts mid-tie, once inside the first kind and once
+// thousands of rows and many morsels in, so any instability in the
+// per-worker partial sort or the cross-worker merge shows up as different
+// ts values), a selective filter, and a grand aggregate.
 // Every query is fully determined, so serial and parallel runs must match
 // byte for byte.
 var parallelBattery = append(append([]string{}, spillBattery...),
 	`SELECT kind, ts FROM events ORDER BY kind LIMIT 100`,
+	`SELECT kind, ts FROM events ORDER BY kind DESC LIMIT 3000`,
 	`SELECT user_id, SUM(amount) AS total FROM events WHERE kind = 'buy'
 		GROUP BY user_id ORDER BY user_id`,
 	`SELECT COUNT(*), SUM(amount), MIN(ts), MAX(ts) FROM events WHERE amount >= 5`,

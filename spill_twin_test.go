@@ -68,9 +68,11 @@ func seedSpillTables(t *testing.T, w *Warehouse, seed int64, nEvents, nUsers int
 }
 
 // spillBattery exercises every spillable operator — hash join (inner and
-// left), high-cardinality hash aggregation, full-table ORDER BY and
-// DISTINCT — with every query fully ordered so results compare row for
-// row.
+// left), high-cardinality hash aggregation, full-table ORDER BY, DISTINCT
+// and the bounded top-N of ORDER BY ... LIMIT (a leader top-10 over
+// aggregated groups, a NULL-first cut through a join, and a LIMIT whose
+// candidates alone outgrow a 64 KiB grant) — with every query fully
+// ordered so results compare row for row.
 var spillBattery = []string{
 	`SELECT ts, SUM(amount) AS total FROM events GROUP BY ts ORDER BY ts`,
 	`SELECT u.segment, COUNT(*) AS n, SUM(e.amount) AS total
@@ -82,6 +84,11 @@ var spillBattery = []string{
 	`SELECT DISTINCT user_id, kind FROM events ORDER BY user_id, kind`,
 	`SELECT kind, COUNT(*) AS n, SUM(amount) AS total, MIN(ts), MAX(ts)
 		FROM events GROUP BY kind ORDER BY kind`,
+	`SELECT user_id, SUM(amount) AS total FROM events
+		GROUP BY user_id ORDER BY total DESC, user_id LIMIT 10`,
+	`SELECT e.ts, u.segment FROM events e LEFT JOIN users u ON e.user_id = u.id
+		ORDER BY u.segment, e.ts LIMIT 300`,
+	`SELECT ts, user_id, kind, amount FROM events ORDER BY amount DESC, ts LIMIT 5000`,
 }
 
 // assertSpillClean checks the post-run hygiene invariants: all tracked
@@ -144,6 +151,14 @@ func TestSpillTwinMatchesUnlimited(t *testing.T) {
 				if got := rowsString(res.Rows); got != want[i] {
 					t.Errorf("seed %d tier %s query %d diverged from unlimited run:\ngot:\n%swant:\n%s",
 						seed, tier.name, i, got, want[i])
+				}
+				// The LIMIT 5000 candidates outgrow 64 KiB: the bounded
+				// top-N must have taken its spill fallback.
+				if i == len(spillBattery)-1 && tier.grant == 64<<10 {
+					recs := w.DB().QueryLog().Records()
+					if last := recs[len(recs)-1]; last.SpillBytes == 0 {
+						t.Errorf("tier %s: top-N over its grant did not spill: %s", tier.name, last.SQL)
+					}
 				}
 			}
 			if n := w.Metrics().Counter("spill_bytes_total").Value(); n == 0 {
